@@ -44,17 +44,23 @@ let wall_ms f =
   let t1 = Unix.gettimeofday () in
   (result, (t1 -. t0) *. 1000.)
 
-let best_of reps f =
-  let rec go best remaining =
-    if remaining = 0 then best
-    else begin
-      Gc.compact ();
-      let result, ms = wall_ms f in
-      ignore (Sys.opaque_identity result);
-      go (min ms best) (remaining - 1)
-    end
-  in
-  go infinity reps
+(* Best-of over interleaved rounds: each round times every
+   configuration once, in order, so a slow spell of the host lands on
+   all of them alike instead of on one configuration's back-to-back
+   repetitions (the serial row and the no-budget sharded row run the
+   same join, and CI gates their ratio). *)
+let best_of_paired reps fs =
+  let best = Array.make (Array.length fs) infinity in
+  for _ = 1 to reps do
+    Array.iteri
+      (fun i f ->
+        Gc.compact ();
+        let result, ms = wall_ms f in
+        ignore (Sys.opaque_identity result);
+        if ms < best.(i) then best.(i) <- ms)
+      fs
+  done;
+  best
 
 type row = {
   n : int;
@@ -71,88 +77,70 @@ type row = {
 
 let measure n =
   let r = side ~offset:0 n and s = side ~offset:(n / 2) n in
-  let run ?mem_budget ?(jobs = 1) ?(telemetry = Telemetry.off) shards () =
-    (E.Identify.run ~jobs ~shards ?mem_budget ~telemetry ~r ~s ~key []).pairs
+  (* Every row runs at one domain: the subject is sharding and spilling,
+     and the domain pool's cost is recorded separately (EXPERIMENTS.md,
+     "Keep/delete record"). *)
+  let run ?mem_budget ?(telemetry = Telemetry.off) shards () =
+    (E.Identify.run ~jobs:1 ~shards ?mem_budget ~telemetry ~r ~s ~key [])
+      .pairs
   in
-  let stream ?mem_budget ?(jobs = 1) ?(telemetry = Telemetry.off) shards () =
+  let stream ?mem_budget ?(telemetry = Telemetry.off) shards () =
     List.rev
-      (E.Identify.run_stream ~jobs ~shards ?mem_budget ~telemetry ~r ~s ~key
-         ~init:[]
+      (E.Identify.run_stream ~jobs:1 ~shards ?mem_budget ~telemetry ~r ~s
+         ~key ~init:[]
          ~f:(fun acc a b -> (a, b) :: acc)
          [])
   in
   let reference = run 1 () in
-  let reps = if smoke then 3 else if n >= 1_000_000 then 1 else 2 in
-  let serial_ms = best_of reps (run 1) in
+  let reps = if smoke then 3 else if n >= 1_000_000 then 1 else 3 in
   (* A budget of ~1/8 the resident key bytes forces several flushes per
      shard without degenerating into one-item batches. *)
   let tight = max 4096 (n * 6) in
   let shard_count = if smoke then 4 else 8 in
-  (* The resident no-budget row schedules shards on the domain pool at
-     the host's own width — the configuration the CI ratio gate holds
-     against serial. *)
-  let pool = Parallel.resolve None in
-  let materialised (shards, jobs, budget) =
+  let configs =
+    [
+      (false, 1, None);
+      (false, shard_count, None);
+      (false, shard_count, Some tight);
+      (true, shard_count, Some tight);
+    ]
+  in
+  let f streaming = if streaming then stream else run in
+  let times =
+    best_of_paired reps
+      (Array.of_list
+         (List.map
+            (fun (streaming, shards, budget) ->
+              f streaming ?mem_budget:budget shards)
+            configs))
+  in
+  (* One row: agreement and spill accounting from a telemetry-enabled
+     run. Materialised rows report the S-side spills of the grace join,
+     streamed rows the verdict sink's; both report the sink's peak (0
+     without a budget: the serial join buffers nothing). *)
+  let row (streaming, shards, budget) ms =
+    let f = f streaming in
     let telemetry = Telemetry.create () in
-    let pairs = run ?mem_budget:budget ~jobs ~telemetry shards () in
-    let agree = pairs = reference in
-    let spills = Telemetry.counter telemetry "parallel.shard.spills"
-    and spilled_bytes =
-      Telemetry.counter telemetry "parallel.shard.spilled_bytes"
+    let agree = f ?mem_budget:budget ~telemetry shards () = reference in
+    let counter name =
+      Telemetry.counter telemetry
+        ((if streaming then "parallel.sink." else "parallel.shard.") ^ name)
     in
-    let ms = best_of reps (run ?mem_budget:budget ~jobs shards) in
     {
       n;
       shards;
-      pool_jobs = jobs;
-      budget;
-      streaming = false;
-      ms;
-      spills;
-      spilled_bytes;
-      peak_verdict_bytes = 0;
-      agree;
-    }
-  in
-  let streamed (shards, jobs, budget) =
-    let telemetry = Telemetry.create () in
-    let pairs = stream ?mem_budget:budget ~jobs ~telemetry shards () in
-    let agree = pairs = reference in
-    let spills = Telemetry.counter telemetry "parallel.sink.spills"
-    and spilled_bytes =
-      Telemetry.counter telemetry "parallel.sink.spilled_bytes"
-    and peak = Telemetry.counter telemetry "identify.peak_verdict_bytes" in
-    let ms = best_of reps (stream ?mem_budget:budget ~jobs shards) in
-    {
-      n;
-      shards;
-      pool_jobs = jobs;
-      budget;
-      streaming = true;
-      ms;
-      spills;
-      spilled_bytes;
-      peak_verdict_bytes = peak;
-      agree;
-    }
-  in
-  [
-    {
-      n;
-      shards = 1;
       pool_jobs = 1;
-      budget = None;
-      streaming = false;
-      ms = serial_ms;
-      spills = 0;
-      spilled_bytes = 0;
-      peak_verdict_bytes = 0;
-      agree = true;
-    };
-    materialised (shard_count, pool, None);
-    materialised (shard_count, pool, Some tight);
-    streamed (shard_count, pool, Some tight);
-  ]
+      budget;
+      streaming;
+      ms;
+      spills = counter "spills";
+      spilled_bytes = counter "spilled_bytes";
+      peak_verdict_bytes =
+        Telemetry.counter telemetry "identify.peak_verdict_bytes";
+      agree;
+    }
+  in
+  List.mapi (fun k cfg -> row cfg times.(k)) configs
 
 (* One telemetry-enabled run per shard count over the same workload; the
    contract under test is that every counter outside the [parallel.*]
@@ -178,6 +166,9 @@ let json_of_rows rows =
   Buffer.add_string buf "  \"benchmark\": \"sharded_out_of_core_identify\",\n";
   Buffer.add_string buf "  \"join\": \"K_Ext grace hash join on name\",\n";
   Buffer.add_string buf "  \"clock\": \"wall\",\n";
+  Buffer.add_string buf
+    (Printf.sprintf "  \"host_domains\": %d,\n"
+       (Domain.recommended_domain_count ()));
   Buffer.add_string buf "  \"results\": [\n";
   List.iteri
     (fun i

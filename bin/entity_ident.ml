@@ -86,20 +86,25 @@ let jobs_arg =
    itself raises on non-positive counts. *)
 let resolve_jobs n = Parallel.resolve (if n = 0 then None else Some n)
 
-let shards_conv =
+(* A count that must be >= 1, rejected at parse time with a usage
+   error naming [flag] and [what] it counts. *)
+let positive_conv ~flag ~what =
   let parse s =
     match int_of_string_opt s with
     | Some n when n >= 1 -> Ok n
-    | Some _ -> Error (`Msg "--shards must be >= 1")
-    | None -> Error (`Msg (Printf.sprintf "invalid shard count %S" s))
+    | Some _ -> Error (`Msg (flag ^ " must be >= 1"))
+    | None -> Error (`Msg (Printf.sprintf "invalid %s %S" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
 
+let shards_conv = positive_conv ~flag:"--shards" ~what:"shard count"
+
 let shards_arg =
   Arg.(value & opt shards_conv 1 & info [ "shards" ] ~docv:"N"
-         ~doc:"Key-shard the blocking and join hash tables into $(docv) \
-               partitions processed one at a time (default 1 = \
-               unsharded). The result is identical for every value.")
+         ~doc:"With --mem-budget, key-shard the blocking and join hash \
+               tables into $(docv) partitions processed one at a time \
+               (default 1 = unsharded); without --mem-budget it has no \
+               effect. The result is identical for every value.")
 
 (* Accept the usual size suffixes so "--mem-budget 64M" works; a bare
    number is bytes. *)
@@ -143,19 +148,21 @@ let stats_arg =
        & info [ "stats" ] ~docv:"FORMAT"
            ~doc:"Collect pipeline telemetry (phase timings, candidate-pair \
                  reduction, fixpoint rounds and class sharing) and print it \
-                 after the normal \
-                 output; $(docv) is json or pretty (plain --stats means \
-                 pretty).")
+                 on stderr once the command is done, so it never mixes \
+                 with the output on stdout; $(docv) is json or pretty \
+                 (plain --stats means pretty).")
 
 let telemetry_of = function
   | None -> Telemetry.off
   | Some _ -> Telemetry.create ()
 
+(* The report goes to stderr: stdout carries the command's data (a
+   table, an ndjson pair stream, the serve protocol). *)
 let print_stats fmt telemetry =
   match fmt with
   | None -> ()
-  | Some `Json -> print_endline (Telemetry.to_json telemetry)
-  | Some `Pretty -> Format.printf "%a@." Telemetry.pp telemetry
+  | Some `Json -> Format.eprintf "%s@." (Telemetry.to_json telemetry)
+  | Some `Pretty -> Format.eprintf "%a@." Telemetry.pp telemetry
 
 let setup r s rk sk rules_path =
   let r = load_relation r rk and s = load_relation s sk in
@@ -730,10 +737,17 @@ let serve_cmd =
                  value (instead of first-rule-wins).")
   in
   let snapshot_every =
-    Arg.(value & opt (some int) None & info [ "snapshot-every" ] ~docv:"N"
+    Arg.(value
+         & opt
+             (some
+                (positive_conv ~flag:"--snapshot-every"
+                   ~what:"snapshot interval"))
+             None
+         & info [ "snapshot-every" ] ~docv:"N"
            ~doc:"Write a snapshot after every $(docv) mutating requests \
-                 (plus on explicit {\"op\":\"snapshot\"} and on clean \
-                 shutdown).")
+                 (plus on explicit {\"op\":\"snapshot\"}, and on clean \
+                 shutdown when a mutating request came after the last \
+                 snapshot). $(docv) must be >= 1.")
   in
   let no_sync =
     Arg.(value & flag & info [ "no-sync" ]
@@ -778,11 +792,7 @@ let serve_cmd =
           ~finally:(fun () -> Eid_store.Store.close st)
           (fun () ->
             Eid_store.Service.serve ?snapshot_every st stdin stdout);
-        (* The protocol owns stdout; the report goes to stderr. *)
-        (match stats with
-        | None -> ()
-        | Some `Json -> Format.eprintf "%s@." (Telemetry.to_json telemetry)
-        | Some `Pretty -> Format.eprintf "%a@." Telemetry.pp telemetry)
+        print_stats stats telemetry
   in
   Cmd.v
     (Cmd.info "serve"

@@ -53,6 +53,9 @@ let fired ?(jobs = 1) ?(shards = 1) ?mem_budget ?(telemetry = Telemetry.off)
   let pfx = if label = "" then "blocking" else "blocking." ^ label in
   let tele_on = Telemetry.enabled telemetry in
   let chunks = ref 0 and spill_count = ref 0 and spill_bytes = ref 0 in
+  (* Sharding only serves to bound memory, so it runs only under a
+     budget; without one the unsharded coded buckets are the path. *)
+  let budget = if shards > 1 then mem_budget else None in
   (* Interned column views of both sides, shared by every rule's coded
      buckets; forced only when some rule can block at shards = 1. *)
   let r_coded = lazy (Columnar.encode sr rt)
@@ -148,7 +151,8 @@ let fired ?(jobs = 1) ?(shards = 1) ?mem_budget ?(telemetry = Telemetry.off)
              on [attrs] — in either orientation, since the implied
              equality is attribute-to-same-attribute. Probe R buckets
              against S buckets and evaluate only co-bucketed pairs. *)
-          if shards = 1 then begin
+          (match budget with
+          | None ->
             (* Coded buckets: both sides' interned key columns are
                projected once, so bucket keys are small int arrays —
                hashing, equality and the per-candidate probe are pure
@@ -176,8 +180,7 @@ let fired ?(jobs = 1) ?(shards = 1) ?mem_budget ?(telemetry = Telemetry.off)
                     | Some js -> List.iter k !js
                     | None -> ())
                 | None -> ())
-          end
-          else begin
+          | Some budget ->
             (* Key-sharded: a pair can only fire when both sides carry
                the same key value, so hashing the key assigns each
                bucket — and every candidate pair — to exactly one shard.
@@ -196,11 +199,10 @@ let fired ?(jobs = 1) ?(shards = 1) ?mem_budget ?(telemetry = Telemetry.off)
                integer hashing, no per-tuple value projection. *)
             let r_cols = Columnar.columns (Lazy.force r_coded) attrs
             and s_cols = Columnar.columns (Lazy.force s_coded) attrs in
-            let per_budget =
-              Option.map (fun b -> max 1024 (b / shards)) mem_budget
-            in
+            let per_budget = max 1024 (budget / shards) in
             let s_parts =
-              Array.init shards (fun _ -> Shard.Spill.create ?budget:per_budget ())
+              Array.init shards (fun _ ->
+                  Shard.Spill.create ~budget:per_budget ())
             in
             Fun.protect
               ~finally:(fun () -> Array.iter Shard.Spill.close s_parts)
@@ -293,8 +295,7 @@ let fired ?(jobs = 1) ?(shards = 1) ?mem_budget ?(telemetry = Telemetry.off)
                 spill_bytes := !spill_bytes + sb;
                 Telemetry.merge telemetry lt)
               results;
-            Telemetry.add telemetry (pfx ^ ".buckets") !buckets
-          end
+            Telemetry.add telemetry (pfx ^ ".buckets") !buckets)
       | Some _ ->
           (* A blocking attribute is missing from one of the schemas: it
              reads as NULL on every tuple of that side, so the implied
@@ -316,7 +317,7 @@ let fired ?(jobs = 1) ?(shards = 1) ?mem_budget ?(telemetry = Telemetry.off)
   if tele_on then begin
     Telemetry.add telemetry (pfx ^ ".fired") (Itbl.length set.fired);
     if jobs > 1 then Telemetry.add telemetry "parallel.chunks" !chunks;
-    if shards > 1 then begin
+    if budget <> None then begin
       Telemetry.add telemetry "parallel.shards" shards;
       Telemetry.add telemetry "parallel.shard.spills" !spill_count;
       Telemetry.add telemetry "parallel.shard.spilled_bytes" !spill_bytes

@@ -33,8 +33,8 @@ val row_lists : pairset -> nr:int -> int list array
 (** [min_conflict a b] — the row-major-minimal pair present in both
     pairsets, or [None] when they are disjoint. This is the pair on
     which a serial row-major scan would first see both an identity and
-    a distinctness rule fire, so the parallel partition engine can
-    reproduce the serial [Inconsistent] witness without scanning.
+    a distinctness rule fire, so the partition can reproduce the naive
+    scan's [Inconsistent] witness without scanning.
     @raise Invalid_argument if the pairsets index different S sides. *)
 val min_conflict : pairset -> pairset -> (int * int) option
 
@@ -76,16 +76,18 @@ type 'rule spec = {
     inputs — is identical to the serial one. [jobs = 1] (the default)
     is the serial reference path.
 
-    [shards > 1] (default [1]) runs each {e keyed} rule key-sharded: the
-    rule's S-side bucket entries are routed by key hash into [shards]
-    partitions ({!Shard.router}), buffered with a spill-to-temp-file
-    budget of [mem_budget / shards] bytes each ({!Shard.Spill}), and
-    each shard builds and probes its own bucket table with only that
-    table resident — the out-of-core configuration. A pair can only
-    fire on equal key values, so every candidate pair lives in exactly
-    one shard and the fired set is identical for every [shards] value;
-    rules with no usable blocking key keep the nested-loop fallback
-    regardless. [mem_budget] without [shards > 1] has no effect.
+    [shards > 1] (default [1]) with a [mem_budget] runs each {e keyed}
+    rule key-sharded: the rule's S-side bucket entries are routed by key
+    hash into [shards] partitions ({!Shard.router}), buffered with a
+    spill-to-temp-file budget of [mem_budget / shards] bytes each
+    ({!Shard.Spill}), and each shard builds and probes its own bucket
+    table with only that table resident — the out-of-core
+    configuration. A pair can only fire on equal key values, so every
+    candidate pair lives in exactly one shard and the fired set is
+    identical for every [shards] value; rules with no usable blocking
+    key keep the nested-loop fallback regardless. Sharding only bounds
+    memory, so without a [mem_budget] the unsharded coded buckets run
+    whatever [shards] is.
 
     [telemetry] (default {!Telemetry.off}) records, under
     ["blocking.<label>"] (or plain ["blocking"] when [label] is empty):

@@ -86,45 +86,41 @@ let distinctness_spec =
     compile = Rules.Distinctness.compile;
   }
 
-(* The sparse row-major merge over rows [start, stop): matched and
-   distinct pairs come straight off the (sorted, disjoint) fired lists,
-   and the undetermined remainder of each row is emitted by walking
-   [0, ns) against those lists with integer compares. Nothing is decided
-   per pair any more — both-fired conflicts are detected from the fired
-   sets before the merge starts — so the cost is O(fired) for the
-   verdict lists plus one cons per undetermined pair, not a decision
-   branch per cell of the nr × ns cross product. Accumulators are
-   whatever the caller passes — global refs serially, chunk-private refs
-   in parallel. *)
-let merge_rows rt st ~m_rows ~d_rows ~matched ~distinct ~unknown start stop =
-  let ns = Array.length st in
-  for i = start to stop - 1 do
-    let tr = rt.(i) in
-    List.iter (fun j -> matched := (tr, st.(j)) :: !matched) m_rows.(i);
-    List.iter (fun j -> distinct := (tr, st.(j)) :: !distinct) d_rows.(i);
-    (* The row's undetermined remainder, in ascending j: skip past the
-       two ascending fired lists. *)
-    let rec remainder j ms ds =
-      if j < ns then
-        match ms with
-        | jm :: mrest when jm = j -> remainder (j + 1) mrest ds
-        | _ -> (
-            match ds with
-            | jd :: drest when jd = j -> remainder (j + 1) ms drest
-            | _ ->
-                unknown := (tr, st.(j)) :: !unknown;
-                remainder (j + 1) ms ds)
-    in
-    remainder 0 m_rows.(i) d_rows.(i)
-  done
+(* The pairs of the fired row lists, row-major: O(fired), since the
+   lists are already sorted ascending within each row. *)
+let fired_pairs rt st rows =
+  let acc = ref [] in
+  Array.iteri
+    (fun i js -> List.iter (fun j -> acc := (rt.(i), st.(j)) :: !acc) js)
+    rows;
+  List.rev !acc
 
-(* Shared front half of [partition] and [partition_stream]: the two
-   blocking passes plus the pair-space accounting. [pairs_naive] is the
-   theoretical |R|×|S| pair space; what the merge actually enumerates is
-   the blocking candidates ([pairs_considered]) plus the undetermined
-   remainders. Candidate counters accumulate across [Blocking.fired]
-   calls in one sink, so the pairs actually considered by THIS partition
-   are the delta around its two blocking passes. *)
+(* The undetermined pairs: the complement of the two (disjoint, sorted)
+   fired row lists, walked on demand in row-major order. Each row's
+   remainder is [0, ns) skipping past the two ascending fired lists with
+   integer compares. Every node is a pure function of its position, so
+   the sequence is persistent and re-iterable, and it cannot raise:
+   conflicts were detected before it was built. *)
+let complement rt st ~m_rows ~d_rows =
+  let nr = Array.length rt and ns = Array.length st in
+  let rec walk i j ms ds () =
+    if j = ns then
+      if i + 1 < nr then walk (i + 1) 0 m_rows.(i + 1) d_rows.(i + 1) ()
+      else Seq.Nil
+    else
+      match ms, ds with
+      | jm :: mrest, _ when jm = j -> walk i (j + 1) mrest ds ()
+      | _, jd :: drest when jd = j -> walk i (j + 1) ms drest ()
+      | _ -> Seq.Cons ((rt.(i), st.(j)), walk i (j + 1) ms ds)
+  in
+  if nr = 0 || ns = 0 then Seq.empty else walk 0 0 m_rows.(0) d_rows.(0)
+
+(* The two blocking passes plus the pair-space accounting.
+   [pairs_naive] is the theoretical |R|×|S| pair space; what the
+   partition actually enumerates is the blocking candidates
+   ([pairs_considered]). Candidate counters accumulate across
+   [Blocking.fired] calls in one sink, so the pairs actually considered
+   by THIS partition are the delta around its two blocking passes. *)
 let block_pair_space ~jobs ~shards ~mem_budget ~telemetry ~identity
     ~distinctness sr rt ss st =
   let tele_on = Telemetry.enabled telemetry in
@@ -151,10 +147,10 @@ let block_pair_space ~jobs ~shards ~mem_budget ~telemetry ~identity
   (m, d)
 
 (* A pair in both fired sets is an Inconsistent/Blocking_desync witness;
-   the merges assume the sets are disjoint, so detect the conflict up
+   the partition assumes the sets are disjoint, so detect the conflict up
    front. [min_conflict] returns the row-major-minimal shared pair — the
-   one the naive nested scan raises on first, whatever the job or shard
-   count — and [decide_pair] then raises with the same witnessing rules.
+   one the naive nested scan raises on first, whatever the shard count —
+   and [decide_pair] then raises with the same witnessing rules.
    The scan is skipped entirely when either side fired nothing (the
    common case: the flagship workload has no distinctness firings at
    all), instead of paying a full conflict scan per run for nothing. *)
@@ -166,173 +162,37 @@ let check_conflicts ~decide_pair sr rt ss st m d =
         raise (Blocking_desync { r_tuple = rt.(i); s_tuple = st.(j) })
     | None -> ()
 
-let resolve_decide_hook ~identity ~distinctness = function
-  (* [decide_pair] is what the both-fired arm re-runs to reproduce the
-     naive engine's exception; the hook exists so the correctness
-     harness can inject a desynchronised decision function and exercise
-     the [Blocking_desync] path. *)
-  | Some f -> f
-  | None -> fun sr tr ss ts -> decide ~identity ~distinctness sr tr ss ts
-
 let partition ?(jobs = 1) ?(shards = 1) ?mem_budget
     ?(telemetry = Telemetry.off) ?decide:decide_hook ~identity ~distinctness
     r s =
   let sr = Relational.Relation.schema r
   and ss = Relational.Relation.schema s in
-  let decide_pair = resolve_decide_hook ~identity ~distinctness decide_hook in
-  let rt = Array.of_list (Relational.Relation.tuples r)
-  and st = Array.of_list (Relational.Relation.tuples s) in
-  let nr = Array.length rt in
-  let m, d =
-    block_pair_space ~jobs ~shards ~mem_budget ~telemetry ~identity
-      ~distinctness sr rt ss st
+  (* [decide_pair] is what the both-fired arm re-runs to reproduce the
+     naive engine's exception; the hook exists so the correctness
+     harness can inject a desynchronised decision function and exercise
+     the [Blocking_desync] path. *)
+  let decide_pair =
+    match decide_hook with
+    | Some f -> f
+    | None -> decide ~identity ~distinctness
   in
-  let result =
-    Telemetry.span telemetry "partition.merge" @@ fun () ->
-    check_conflicts ~decide_pair sr rt ss st m d;
-    let m_rows = Blocking.row_lists m ~nr
-    and d_rows = Blocking.row_lists d ~nr in
-    if jobs <= 1 then begin
-      let matched = ref [] and distinct = ref [] and unknown = ref [] in
-      merge_rows rt st ~m_rows ~d_rows ~matched ~distinct ~unknown 0 nr;
-      (List.rev !matched, List.rev !distinct, List.rev !unknown)
-    end
-    else begin
-      Telemetry.add telemetry "parallel.chunks"
-        (Parallel.chunk_count ~jobs nr);
-      let chunks =
-        Parallel.map_chunks ~jobs nr (fun ~start ~stop ->
-            let matched = ref [] and distinct = ref [] and unknown = ref [] in
-            merge_rows rt st ~m_rows ~d_rows ~matched ~distinct ~unknown
-              start stop;
-            (!matched, !distinct, !unknown))
-      in
-      (* Chunks cover ascending row ranges and accumulate by prepending,
-         so each chunk's lists are descending. Folding the chunks in
-         reverse with [rev_append] restores exactly the serial row-major
-         output while copying each pair once on the calling domain —
-         rev-in-chunk plus concat_map would pay a second full pass over
-         the pair space, which at small inputs is most of what jobs > 1
-         costs over serial. *)
-      let rev_chunks = List.rev chunks in
-      let join sel =
-        List.fold_left (fun acc c -> List.rev_append (sel c) acc) [] rev_chunks
-      in
-      ( join (fun (m, _, _) -> m),
-        join (fun (_, d, _) -> d),
-        join (fun (_, _, u) -> u) )
-    end
-  in
-  (* Verdict counts are read off the finished lists — no accounting on
-     the per-pair path, and [List.length] runs only when the sink is
-     live. *)
-  if Telemetry.enabled telemetry then begin
-    let matched, distinct, unknown = result in
-    Telemetry.add telemetry "partition.matched" (List.length matched);
-    Telemetry.add telemetry "partition.distinct" (List.length distinct);
-    Telemetry.add telemetry "partition.undetermined" (List.length unknown)
-  end;
-  result
-
-(* The streaming row walk over [start, stop): every pair of the row in
-   ascending j, tagged by skipping past the two ascending fired lists —
-   the same sparse discipline as [merge_rows], emitting verdicts in
-   strict row-major (i, j) order instead of bucketing them. *)
-let stream_rows ~ns ~m_rows ~d_rows ~emit start stop =
-  for i = start to stop - 1 do
-    let rec walk j ms ds =
-      if j < ns then
-        match ms with
-        | jm :: mrest when jm = j ->
-            emit Match_result.Match i j;
-            walk (j + 1) mrest ds
-        | _ -> (
-            match ds with
-            | jd :: drest when jd = j ->
-                emit Match_result.No_match i j;
-                walk (j + 1) ms drest
-            | _ ->
-                emit Match_result.Undetermined i j;
-                walk (j + 1) ms ds)
-    in
-    walk 0 m_rows.(i) d_rows.(i)
-  done
-
-let partition_stream ?(jobs = 1) ?(shards = 1) ?mem_budget
-    ?(telemetry = Telemetry.off) ?decide:decide_hook ~identity ~distinctness
-    ~init ~f r s =
-  let sr = Relational.Relation.schema r
-  and ss = Relational.Relation.schema s in
-  let decide_pair = resolve_decide_hook ~identity ~distinctness decide_hook in
   let rt = Array.of_list (Relational.Relation.tuples r)
   and st = Array.of_list (Relational.Relation.tuples s) in
   let nr = Array.length rt and ns = Array.length st in
-  let tele_on = Telemetry.enabled telemetry in
   let m, d =
     block_pair_space ~jobs ~shards ~mem_budget ~telemetry ~identity
       ~distinctness sr rt ss st
   in
-  let n_m = ref 0 and n_d = ref 0 and n_u = ref 0 in
-  let acc = ref init in
-  let consume result i j =
-    if tele_on then
-      incr
-        (match result with
-        | Match_result.Match -> n_m
-        | Match_result.No_match -> n_d
-        | Match_result.Undetermined -> n_u);
-    acc := f !acc result rt.(i) st.(j)
-  in
-  (Telemetry.span telemetry "partition.merge" @@ fun () ->
-   check_conflicts ~decide_pair sr rt ss st m d;
-   let m_rows = Blocking.row_lists m ~nr
-   and d_rows = Blocking.row_lists d ~nr in
-   let parts = if jobs <= 1 then 1 else Parallel.chunk_count ~jobs nr in
-   if parts <= 1 then begin
-     (* Serial merge streams verdicts straight off the row walk — zero
-        buffering whatever the budget. *)
-     Telemetry.add telemetry "partition.peak_verdict_bytes" 0;
-     stream_rows ~ns ~m_rows ~d_rows ~emit:consume 0 nr
-   end
-   else begin
-     Telemetry.add telemetry "parallel.chunks" parts;
-     (* Chunks classify concurrently into one budgeted sink part each
-        (claimed by arrival order — the k-way merge below orders by
-        global pair index, so part assignment is irrelevant), and the
-        fold replays them in row-major order on the calling domain. *)
-     let sink = Shard.Sink.create ?budget:mem_budget ~parts () in
-     Fun.protect
-       ~finally:(fun () -> Shard.Sink.close sink)
-       (fun () ->
-         let next_part = Atomic.make 0 in
-         ignore
-           (Parallel.map_chunks ~jobs nr (fun ~start ~stop ->
-                let part = Atomic.fetch_and_add next_part 1 in
-                stream_rows ~ns ~m_rows ~d_rows
-                  ~emit:(fun result i j ->
-                    Shard.Sink.add sink ~part ~bytes:32 (result, i, j))
-                  start stop)
-             : unit list);
-         Telemetry.add telemetry "partition.peak_verdict_bytes"
-           (Shard.Sink.peak_bytes sink);
-         if tele_on then begin
-           Telemetry.add telemetry "parallel.sink.spills"
-             (Shard.Sink.spills sink);
-           Telemetry.add telemetry "parallel.sink.spilled_bytes"
-             (Shard.Sink.spilled_bytes sink);
-           match Shard.Sink.estimate_error_pct sink with
-           | Some pct ->
-               Telemetry.add telemetry "parallel.shard.estimate_error_pct" pct
-           | None -> ()
-         end;
-         Shard.Sink.iter_merged
-           ~index:(fun (_, i, j) -> (i * ns) + j)
-           sink
-           (fun (result, i, j) -> consume result i j))
-   end);
-  if tele_on then begin
-    Telemetry.add telemetry "partition.matched" !n_m;
-    Telemetry.add telemetry "partition.distinct" !n_d;
-    Telemetry.add telemetry "partition.undetermined" !n_u
-  end;
-  !acc
+  Telemetry.span telemetry "partition.merge" @@ fun () ->
+  check_conflicts ~decide_pair sr rt ss st m d;
+  let m_rows = Blocking.row_lists m ~nr
+  and d_rows = Blocking.row_lists d ~nr in
+  (* The fired sets are disjoint, so the verdict counts are their
+     cardinalities and the undetermined count is what they leave. *)
+  let n_m = Blocking.cardinality m and n_d = Blocking.cardinality d in
+  Telemetry.add telemetry "partition.matched" n_m;
+  Telemetry.add telemetry "partition.distinct" n_d;
+  Telemetry.add telemetry "partition.undetermined" ((nr * ns) - n_m - n_d);
+  ( fired_pairs rt st m_rows,
+    fired_pairs rt st d_rows,
+    complement rt st ~m_rows ~d_rows )

@@ -42,33 +42,31 @@ val decide :
 
 (** [partition ~identity ~distinctness r s] — every (r,s) pair classified:
     [(matching, not_matching, undetermined)] with the witnessing tuples.
-    This is the Figure 3 partition, materialised.
+    This is the Figure 3 partition. As in the paper, only the two fired
+    sets are materialised: [matching] and [not_matching] are row-major
+    lists, and [undetermined] is their complement in R × S — a
+    persistent, re-iterable, row-major sequence walked on demand from
+    the fired sets, of length |R|·|S| − |matching| − |not_matching|.
+    Enumerating it costs one step per undetermined pair; building the
+    partition costs only the blocking passes and the fired pairs.
 
     Rules that imply attribute-value equality (every well-formed identity
     rule; distinctness rules with [=]-atoms) are evaluated with hash
     blocking ({!Blocking}) instead of the |R|×|S| nested loop; rules with
     no equality atoms fall back per rule. The partition — including which
     pair raises {!Inconsistent}, and with which witnessing rules — is
-    identical to {!partition_naive}'s.
+    identical to {!partition_naive}'s once [undetermined] is enumerated.
 
-    The merge enumerates only the fired pairs plus each row's
-    undetermined remainder against the sorted fired lists — never a
-    per-pair decision over the full cross product. A pair in both fired
-    sets (an inconsistent rule base) is detected up front from the sets
-    themselves: the engine raises from the row-major-minimal conflicting
-    pair ({!Blocking.min_conflict}) with the same witnessing rules the
-    naive serial scan reports, for every [jobs] and [shards] value; the
-    conflict pre-scan is skipped when either fired set is empty.
+    A pair in both fired sets (an inconsistent rule base) is detected up
+    front from the sets themselves: the engine raises from the
+    row-major-minimal conflicting pair ({!Blocking.min_conflict}) with
+    the same witnessing rules the naive scan reports, so enumerating
+    [undetermined] never raises. The conflict pre-scan is skipped when
+    either fired set is empty.
 
-    [jobs] (default [1]) > 1 runs the blocking probes and the merge
-    chunked over that many domains ({!Parallel}); chunk results are
-    concatenated in chunk order, so the three lists are bit-identical to
-    the serial engine's. [jobs = 1] takes the exact serial code path.
-
-    [shards] (default [1]) > 1 runs the keyed blocking rules key-sharded
-    with an optional spill budget of [mem_budget] bytes — see
-    {!Blocking.fired}. Results and stable counters are invariant in
-    both.
+    [jobs], [shards] and [mem_budget] are passed to the blocking passes
+    ({!Blocking.fired}); the result and the stable counters are
+    invariant in all three.
 
     [telemetry] (default {!Telemetry.off}) records the
     [partition.block.identity] / [partition.block.distinctness] /
@@ -76,12 +74,11 @@ val decide :
     |R|×|S|) and [partition.pairs_considered] (candidate pairs the
     blocking passes actually proposed) counters, the
     [partition.matched] / [partition.distinct] / [partition.undetermined]
-    counters, the per-kind blocking counters ({!Blocking.fired}), and
-    the [parallel.*] execution-configuration counters (the only ones
-    that vary with [jobs]/[shards] — everything else is invariant).
+    counters (the last computed from the other two, not by enumeration),
+    and the per-kind blocking counters ({!Blocking.fired}).
 
     [decide] (default {!decide} over the given rules) is what the
-    both-fired arms re-run to reproduce the naive engine's
+    both-fired arm re-runs to reproduce the naive engine's
     {!Inconsistent} witness. It is a fault-injection hook for the
     correctness harness: substituting a decision function that disagrees
     with the blocking index makes {!partition} raise {!Blocking_desync}
@@ -105,56 +102,12 @@ val partition :
   Relational.Relation.t ->
   (Relational.Tuple.t * Relational.Tuple.t) list
   * (Relational.Tuple.t * Relational.Tuple.t) list
-  * (Relational.Tuple.t * Relational.Tuple.t) list
-
-(** [partition_stream ?jobs ?shards ?mem_budget ?telemetry ?decide
-    ~identity ~distinctness ~init ~f r s] — the streaming form of
-    {!partition}: folds [f] over {e every} (r, s) pair in strict
-    row-major (ascending R row, ascending S row within it) order, each
-    tagged with its {!Match_result.t} verdict, without materialising the
-    three lists. Bucketing the stream by tag reproduces {!partition}'s
-    three lists byte-for-byte, for every [jobs] and [shards] value —
-    including which pair raises {!Inconsistent} or {!Blocking_desync}.
-
-    [jobs <= 1] (or a sub-threshold input) streams verdicts straight off
-    the serial row merge — zero verdict buffering whatever the budget.
-    [jobs > 1] classifies chunks concurrently into a budgeted
-    {!Shard.Sink} (one part per chunk, [mem_budget] split across parts,
-    overflow to temp files) and k-way merges the parts back into
-    row-major order on the calling domain.
-
-    [telemetry] records everything {!partition} records, plus
-    [partition.peak_verdict_bytes] (sink peak resident verdict bytes;
-    [0] on the unbuffered serial path) — a configuration-dependent
-    counter excluded from {!Telemetry.counters_stable} — and the
-    [parallel.sink.*] spill counters. *)
-val partition_stream :
-  ?jobs:int ->
-  ?shards:int ->
-  ?mem_budget:int ->
-  ?telemetry:Telemetry.t ->
-  ?decide:
-    (Relational.Schema.t ->
-    Relational.Tuple.t ->
-    Relational.Schema.t ->
-    Relational.Tuple.t ->
-    verdict) ->
-  identity:Rules.Identity.t list ->
-  distinctness:Rules.Distinctness.t list ->
-  init:'a ->
-  f:
-    ('a ->
-    Match_result.t ->
-    Relational.Tuple.t ->
-    Relational.Tuple.t ->
-    'a) ->
-  Relational.Relation.t ->
-  Relational.Relation.t ->
-  'a
+  * (Relational.Tuple.t * Relational.Tuple.t) Seq.t
 
 (** [partition_naive] — the reference nested-loop implementation: one
-    {!decide} per pair. Kept for agreement testing and benchmarking;
-    {!partition} must produce byte-identical results. *)
+    {!decide} per pair, all three sets materialised. Kept for agreement
+    testing and benchmarking; {!partition} must produce byte-identical
+    results once its undetermined sequence is enumerated. *)
 val partition_naive :
   identity:Rules.Identity.t list ->
   distinctness:Rules.Distinctness.t list ->

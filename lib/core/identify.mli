@@ -35,28 +35,31 @@ type outcome = {
     chunked over that many domains ({!Ilfd.Apply.extend_relation}); the
     outcome is identical for every [jobs] value.
 
-    [shards] (default [1]) > 1 runs the K_Ext join as a grace hash join
-    over key-hash partitions ({!Shard.router}). With a [mem_budget],
-    S′ entries buffer in {!Shard.Spill} values with a spill-to-temp-file
-    budget of [mem_budget / shards] bytes each, and each shard builds
-    and probes its own hash table with only that table resident — the
-    out-of-core configuration. Without a budget, shard chunks are
-    scheduled on the shared domain pool at [jobs] width, each chunk
-    building only its own shards' tables (scan-per-chunk); at a
-    resolved width of 1 this collapses to the serial join, so resident
-    sharding never costs more than a routing pass. Matching tuples
-    carry equal key values, so every join bucket lives in exactly one
-    shard; per-row partner slots read back in ascending row order make
-    the outcome identical for every [shards] and [jobs] value.
-    [mem_budget] without [shards > 1] has no effect.
+    The K_Ext join is one hash join that reports matched pairs in
+    row-major order (ascending R′ row, ascending S′ partner within a
+    row). Without a [mem_budget], or with [shards = 1] (the default), it
+    is the serial coded join: one build table over S′'s key codes, one
+    probe pass over R′. With [shards > 1] {e and} a [mem_budget], it is
+    the out-of-core grace join: S′ entries are routed by key hash
+    ({!Shard.router}) into {!Shard.Spill} buffers of [mem_budget /
+    shards] bytes each, each shard builds and probes its own table with
+    only that table resident, and the matches pass through a budgeted
+    {!Shard.Sink} whose parts are merged back into row-major order.
+    Matching tuples carry equal key values, so every join bucket lives
+    in one shard and the outcome is identical for every [shards],
+    [mem_budget] and [jobs] value. [shards] without a [mem_budget] has
+    no effect: it only serves to bound memory.
 
     [telemetry] (default {!Telemetry.off}) records the
     [identify.extend_r] / [identify.extend_s] / [identify.join] spans,
     the [identify.pairs] / [identify.unmatched_r] / [identify.unmatched_s]
     / [identify.violations] / [identify.join.buckets] counters, and the
-    ILFD extension counters ({!Ilfd.Apply.extend_relation}). Everything
-    outside the [parallel.*] namespace is identical for every [jobs] and
-    [shards] value.
+    ILFD extension counters ({!Ilfd.Apply.extend_relation}). The
+    budgeted sharded join also records [identify.peak_verdict_bytes]
+    (the sink's peak resident bytes) and the [parallel.shard.*] /
+    [parallel.sink.*] spill counters. Everything outside the
+    [parallel.*] namespace and [identify.peak_verdict_bytes] is
+    identical for every [jobs], [shards] and [mem_budget] value.
     @raise Invalid_argument when [shards <= 0].
     @raise Ilfd.Apply.Conflict_found in [Check_conflicts] mode. *)
 val run :
@@ -72,25 +75,14 @@ val run :
   outcome
 
 (** [run_stream ?mode ?jobs ?shards ?mem_budget ?telemetry ~r ~s ~key
-    ~init ~f ilfds] — the streaming form of {!run}'s join: folds [f]
-    over every matched [(r', s')] pair of extended tuples in the serial
-    row-major order (ascending R′ row, ascending S′ partner within a
-    row) {e without materialising the pair list}, so peak memory is the
-    join state plus the verdict buffers, not the output.
-
-    [shards = 1] short-circuits to the ordinary hash join and streams
-    pairs straight out of the probe loop — zero verdict buffering.
-    [shards > 1] routes matches through a budgeted {!Shard.Sink} (one
-    part per shard, [mem_budget] split across parts, overflow to temp
-    files) and k-way merges the parts back into row-major order.
-    The fold observes exactly the pairs {!run} materialises, in the
-    same order, for every [jobs] and [shards] value.
-
-    [telemetry] additionally records [identify.peak_verdict_bytes]
-    (sink peak resident verdict bytes; [0] when [shards = 1]) — a
-    configuration-dependent counter excluded from
-    {!Telemetry.counters_stable} — and [parallel.sink.*] spill
-    counters.
+    ~init ~f ilfds] — {!run}'s join as a fold: folds [f] over every
+    matched [(r', s')] pair of extended tuples in the same row-major
+    order {e without materialising the pair list}, so peak memory is the
+    join state plus, on the budgeted sharded join, the sink's budget —
+    not the output. The fold observes exactly the pairs {!run}
+    materialises, in the same order, for every [jobs], [shards] and
+    [mem_budget] value. It records the same telemetry as {!run} except
+    the outcome counters ([identify.pairs] and the rest).
     @raise Invalid_argument when [shards <= 0].
     @raise Ilfd.Apply.Conflict_found in [Check_conflicts] mode. *)
 val run_stream :
@@ -120,13 +112,14 @@ val extension_schema :
     attributes are derived into R′/S′ (pass the union of attributes your
     rules mention). Distinctness rules contribute nothing to MT but an
     {!Decision.Inconsistent} pair raises. [jobs] (default [1]) > 1
-    parallelises both the ILFD extension and {!Decision.partition};
-    [shards] (default [1]) > 1 runs the keyed blocking rules key-sharded
-    with an optional [mem_budget] spill budget ({!Blocking.fired}).
-    Results — including which pair raises — are identical to serial for
-    every [jobs] and [shards] value. [telemetry] additionally collects
-    the {!Decision.partition} blocking counters (candidate-pair
-    reduction vs the cross product).
+    parallelises the ILFD extension and the blocking probes; [shards]
+    (default [1]) > 1 with a [mem_budget] runs the keyed blocking rules
+    key-sharded under that spill budget ({!Blocking.fired}). Results —
+    including which pair raises — are identical to serial for every
+    [jobs], [shards] and [mem_budget] value; the outcome is built as
+    {!run}'s is, from the matched pairs of {!Decision.partition}.
+    [telemetry] additionally collects the {!Decision.partition} blocking
+    counters (candidate-pair reduction vs the cross product).
     @raise Decision.Inconsistent when an identity and a distinctness rule
     fire on the same pair. *)
 val run_rules :

@@ -5,21 +5,20 @@
     key: a rule (or the K_Ext join) can only relate tuples whose key
     projections are {e equal}, so hashing the key value assigns every
     bucket — and with it every candidate pair — to exactly one shard.
-    Shards carry {e independent} work: they are processed either one at
-    a time (one resident hash table, the out-of-core configuration) or
-    as chunks of shards scheduled onto the {!Parallel} domain pool, with
+    Shards carry {e independent} work: they are processed one at a time
+    (one resident hash table per domain, the out-of-core configuration),
+    in chunks of shards scheduled onto the {!Parallel} domain pool, with
     the buffered shard inputs spilling to temp files when they exceed a
     memory budget. That is what takes the pair-space sweeps from
     memory-bound to out-of-core ({!Blocking.fired}, {!Identify.run}).
 
-    Because every row's key lives in exactly one shard, emitting shard
-    results into per-row slots and reading the slots back in ascending
-    row order reproduces the serial row-major output exactly, whatever
+    Because every row's key lives in exactly one shard, emitting each
+    shard's results into its own {!Sink} part and merging the parts by
+    row index reproduces the serial row-major output exactly, whatever
     the shard count {e or} the number of domains processing shards — the
     merge discipline that keeps sharded execution observationally
-    identical to [shards = 1]. {!Sink} extends the same discipline to
-    the verdicts themselves: per-producer spill parts replayed in a
-    deterministic order instead of a materialised list. *)
+    identical to [shards = 1], with the parts spilling past a budget
+    instead of a materialised list. *)
 
 (** A blocking/join key: the projected attribute values. *)
 type key = Relational.Value.t list

@@ -314,16 +314,20 @@ let handle_line st line =
   | Error m -> Json.to_string (error "parse" m)
   | Ok req -> Json.to_string (handle st req)
 
-let mutating req =
-  match Json.string_member "op" req with
-  | Some ("insert" | "merge" | "split" | "rollback") -> true
-  | _ -> false
-
 let serve ?snapshot_every st ic oc =
+  (match snapshot_every with
+  | Some n when n <= 0 ->
+      invalid_arg "Service.serve: snapshot_every must be positive"
+  | _ -> ());
+  (* Mutating requests since the last snapshot, periodic or explicit. *)
   let since_snapshot = ref 0 in
   let rec loop () =
     match input_line ic with
-    | exception End_of_file -> ()
+    | exception End_of_file -> (
+        (* Clean shutdown: leave nothing for the next open to replay. *)
+        match snapshot_every with
+        | Some _ when !since_snapshot > 0 -> Store.snapshot st
+        | _ -> ())
     | line when String.trim line = "" -> loop ()
     | line ->
         let response =
@@ -331,13 +335,15 @@ let serve ?snapshot_every st ic oc =
           | Error m -> error "parse" m
           | Ok req ->
               let resp = handle st req in
-              (match snapshot_every with
-              | Some n when n > 0 && mutating req ->
+              (match Json.string_member "op" req with
+              | Some "snapshot" -> since_snapshot := 0
+              | Some ("insert" | "merge" | "split" | "rollback") -> (
                   incr since_snapshot;
-                  if !since_snapshot >= n then begin
-                    Store.snapshot st;
-                    since_snapshot := 0
-                  end
+                  match snapshot_every with
+                  | Some n when !since_snapshot >= n ->
+                      Store.snapshot st;
+                      since_snapshot := 0
+                  | _ -> ())
               | _ -> ());
               resp
         in

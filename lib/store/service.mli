@@ -34,7 +34,10 @@ val handle_line : Store.t -> string -> string
 (** [serve ?snapshot_every store ic oc] — the request loop: read lines
     from [ic] until EOF, respond on [oc] (flushed per line). With
     [snapshot_every:n], a snapshot is written after every [n] mutating
-    requests. *)
+    requests, and at EOF when a mutating request came after the last
+    snapshot (periodic or explicit), so a clean shutdown leaves no WAL
+    tail to replay. [n] must be positive.
+    @raise Invalid_argument when [n <= 0]. *)
 val serve : ?snapshot_every:int -> Store.t -> in_channel -> out_channel -> unit
 
 (** Conversions shared with the CLI. *)

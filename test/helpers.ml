@@ -146,6 +146,11 @@ let mt_entries_equal a b =
        (Entity_id.Matching_table.mem a)
        (Entity_id.Matching_table.entries b)
 
+(* A {!Entity_id.Decision.partition} result with its undetermined
+   sequence enumerated — comparable with [=] and with
+   [partition_naive]'s lists. *)
+let listed (m, d, u) = (m, d, List.of_seq u)
+
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name gen prop)

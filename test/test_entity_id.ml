@@ -159,7 +159,9 @@ let decision_tests =
           relation [ "name"; "cuisine"; "speciality" ] []
             [ [ "A"; "Chinese"; "Hunan" ]; [ "C"; "Greek"; "Gyros" ] ]
         in
-        let m, d, u = E.Decision.partition ~identity ~distinctness r s in
+        let m, d, u =
+          listed (E.Decision.partition ~identity ~distinctness r s)
+        in
         Alcotest.(check int) "total" 4
           (List.length m + List.length d + List.length u);
         Alcotest.(check int) "matched" 1 (List.length m);
@@ -217,7 +219,7 @@ let decision_tests =
             [ [ "A"; "Chinese"; "Hunan" ]; [ "C"; "Greek"; "Gyros" ] ]
         in
         Alcotest.(check bool) "" true
-          (E.Decision.partition ~identity ~distinctness:[ neq ] r s
+          (listed (E.Decision.partition ~identity ~distinctness:[ neq ] r s)
           = E.Decision.partition_naive ~identity ~distinctness:[ neq ] r s));
     qtest ~count:20 "blocked partition equals naive on random instances"
       (restaurant_gen ())
@@ -231,7 +233,9 @@ let decision_tests =
         let distinctness =
           E.Negative.distinctness_rules_of_ilfds inst.ilfds
         in
-        E.Decision.partition ~identity ~distinctness o.r_extended o.s_extended
+        listed
+          (E.Decision.partition ~identity ~distinctness o.r_extended
+             o.s_extended)
         = E.Decision.partition_naive ~identity ~distinctness o.r_extended
             o.s_extended);
     qtest ~count:15 "parallel partition equals serial for any jobs"
@@ -246,11 +250,95 @@ let decision_tests =
           E.Negative.distinctness_rules_of_ilfds inst.ilfds
         in
         let run jobs =
-          E.Decision.partition ~jobs ~identity ~distinctness o.r_extended
-            o.s_extended
+          listed
+            (E.Decision.partition ~jobs ~identity ~distinctness o.r_extended
+               o.s_extended)
         in
         let reference = run 1 in
         List.for_all (fun jobs -> run jobs = reference) [ 2; 4; 7 ]);
+    qtest ~count:20
+      "undetermined is a re-iterable complement with unchanged witnesses"
+      QCheck2.Gen.(pair (restaurant_gen ()) bool)
+      (fun (inst, conflicting) ->
+        (* With [conflicting], a name-equality distinctness rule fires on
+           every matched pair, so the partition must raise — from the
+           same pair, with the same rules, as the naive scan. Otherwise
+           the undetermined sequence must be the naive list, enumerable
+           twice, with the complement's length. *)
+        let o = E.Identify.run ~r:inst.r ~s:inst.s ~key:inst.key inst.ilfds in
+        let r = o.r_extended and s = o.s_extended in
+        let identity = [ E.Extended_key.equivalence_rule inst.key ] in
+        let distinctness =
+          E.Negative.distinctness_rules_of_ilfds inst.ilfds
+          @
+          if conflicting then
+            [
+              Rules.Distinctness.make ~name:"same-name"
+                [
+                  Rules.Atom.make
+                    (Rules.Atom.attr Rules.Atom.Left "name")
+                    R.Predicate.Eq
+                    (Rules.Atom.attr Rules.Atom.Right "name");
+                ];
+            ]
+          else []
+        in
+        let attempt f =
+          match f () with
+          | parts -> Ok parts
+          | exception
+              E.Decision.Inconsistent { identity = i; distinctness = d } ->
+              Error (i.name, d.name)
+        in
+        (* The Blocking_desync witness under a decision function that
+           never raises: the row-major-first pair on which the real
+           decision function raises. *)
+        let quiet _ _ _ _ =
+          {
+            E.Decision.result = E.Match_result.Undetermined;
+            identity = None;
+            distinctness = None;
+          }
+        in
+        let sr = R.Relation.schema r and ss = R.Relation.schema s in
+        let first_conflict =
+          List.find_map
+            (fun tr ->
+              List.find_map
+                (fun ts ->
+                  match
+                    E.Decision.decide ~identity ~distinctness sr tr ss ts
+                  with
+                  | _ -> None
+                  | exception E.Decision.Inconsistent _ -> Some (tr, ts))
+                (R.Relation.tuples s))
+            (R.Relation.tuples r)
+        in
+        let desync =
+          match
+            E.Decision.partition ~decide:quiet ~identity ~distinctness r s
+          with
+          | _ -> None
+          | exception E.Decision.Blocking_desync { r_tuple; s_tuple } ->
+              Some (r_tuple, s_tuple)
+        in
+        desync = first_conflict
+        &&
+        match
+          ( attempt (fun () ->
+                E.Decision.partition ~identity ~distinctness r s),
+            attempt (fun () ->
+                E.Decision.partition_naive ~identity ~distinctness r s) )
+        with
+        | Ok (m, d, u), Ok naive ->
+            let pairs =
+              R.Relation.cardinality r * R.Relation.cardinality s
+            in
+            List.of_seq u = List.of_seq u
+            && Seq.length u = pairs - List.length m - List.length d
+            && (m, d, List.of_seq u) = naive
+        | Error w, Error w' -> w = w'
+        | _ -> false);
     case "parallel Inconsistent raises from the row-major-first pair"
       (fun () ->
         (* Two conflicting pairs witnessed by different rules: (r0, s0)

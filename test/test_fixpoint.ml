@@ -198,7 +198,8 @@ let covering_tests =
         let identity =
           [ Rules.Identity.of_attribute_equalities ~name:"ek" [ "n"; "c" ] ]
         in
-        let fast = E.Decision.partition ~identity ~distinctness:[] r s
+        let fast =
+          listed (E.Decision.partition ~identity ~distinctness:[] r s)
         and naive = E.Decision.partition_naive ~identity ~distinctness:[] r s in
         let (m1, d1, u1) = fast and (m2, d2, u2) = naive in
         Alcotest.(check bool) "matched" true (pairs_equal m1 m2);

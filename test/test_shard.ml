@@ -395,8 +395,9 @@ let invariance_tests =
         let identity = [ E.Extended_key.equivalence_rule inst.key ] in
         let r_ext = inst.r and s_ext = inst.s in
         let part shards mem_budget =
-          E.Decision.partition ~shards ?mem_budget ~identity ~distinctness:[]
-            r_ext s_ext
+          listed
+            (E.Decision.partition ~shards ?mem_budget ~identity
+               ~distinctness:[] r_ext s_ext)
         in
         let m1, d1, u1 = part 1 None in
         List.iter
@@ -493,31 +494,6 @@ let stream_tests =
               []
               (stream_pairs ~shards ~mem_budget:2048 empty_inst))
           [ 1; 3 ]);
-    case "partition_stream rebuckets to partition's lists" (fun () ->
-        let inst = instance () in
-        let identity = [ E.Extended_key.equivalence_rule inst.key ] in
-        let m0, d0, u0 =
-          E.Decision.partition ~identity ~distinctness:[] inst.r inst.s
-        in
-        List.iter
-          (fun (shards, jobs) ->
-            let m, d, u =
-              E.Decision.partition_stream ~jobs ~shards ~mem_budget:2048
-                ~identity ~distinctness:[] ~init:([], [], [])
-                ~f:(fun (m, d, u) result tr ts ->
-                  match result with
-                  | E.Match_result.Match -> ((tr, ts) :: m, d, u)
-                  | E.Match_result.No_match -> (m, (tr, ts) :: d, u)
-                  | E.Match_result.Undetermined -> (m, d, (tr, ts) :: u))
-                inst.r inst.s
-            in
-            let label what =
-              Printf.sprintf "%s shards=%d jobs=%d" what shards jobs
-            in
-            Alcotest.check pairs (label "matched") m0 (List.rev m);
-            Alcotest.check pairs (label "distinct") d0 (List.rev d);
-            Alcotest.check pairs (label "undetermined") u0 (List.rev u))
-          [ (1, 1); (2, 1); (7, 2); (2, 4) ]);
   ]
 
 let () =

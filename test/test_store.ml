@@ -246,6 +246,42 @@ let recovery_tests =
               (S.recovered_records t);
             Alcotest.(check int) "full state restored" 1 (cardinality t);
             S.close t));
+    case "a clean EOF under snapshot_every leaves nothing to replay"
+      (fun () ->
+        in_dir (fun dir ->
+            let requests = Filename.concat dir "requests.ndjson" in
+            Out_channel.with_open_text requests (fun oc ->
+                output_string oc
+                  {|{"op":"insert","side":"r","row":{"name":"TwinCities","cuisine":"Chinese","street":"Co.B2"}}
+{"op":"insert","side":"s","row":{"name":"TwinCities","speciality":"Hunan","county":"Dakota"}}
+|});
+            (* One serve session reading [input] to EOF; returns the
+               snapshots it wrote. *)
+            let session ?config store input =
+              let telemetry = Telemetry.create () in
+              let t = open_ok ~telemetry ?config store in
+              In_channel.with_open_text input (fun ic ->
+                  Out_channel.with_open_text (Filename.concat dir "out")
+                    (fun oc ->
+                      Eid_store.Service.serve ~snapshot_every:100 t ic oc));
+              S.close t;
+              Telemetry.counter telemetry "store.snapshots"
+            in
+            let store = Filename.concat dir "store" in
+            Alcotest.(check int) "two inserts, then EOF: one snapshot" 1
+              (session ~config:cfg store requests);
+            let telemetry = Telemetry.create () in
+            let t = open_ok ~telemetry store in
+            Alcotest.(check int) "nothing replayed" 0
+              (Telemetry.counter telemetry "store.recovery.replayed");
+            Alcotest.(check int) "match restored" 1 (cardinality t);
+            S.close t;
+            (* A session without mutations has nothing to snapshot. *)
+            let reads = Filename.concat dir "reads.ndjson" in
+            Out_channel.with_open_text reads (fun oc ->
+                output_string oc "{\"op\":\"stats\"}\n");
+            Alcotest.(check int) "read-only session: no snapshot" 0
+              (session store reads)));
     case "a stale rules hash forces a full replay" (fun () ->
         in_dir (fun dir ->
             let t = open_ok ~config:cfg dir in
